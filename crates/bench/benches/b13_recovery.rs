@@ -1,7 +1,7 @@
 //! B13 — durability costs: WAL append throughput, cold-open replay
 //! rate, and snapshot-assisted cold-open latency.
 //!
-//! Three rows, one per durability phase:
+//! Four rows, one per durability phase:
 //!
 //! * `wal_append_1k_ops` — a fresh `DurableStore` absorbing a 1k-op
 //!   seeded mutation storm (validate → log → apply per op).
@@ -11,14 +11,22 @@
 //! * `cold_open_snapshot_tail` — the same state after a checkpoint:
 //!   snapshot load plus a short WAL tail, the steady-state restart
 //!   shape.
+//! * `authenticated_insert_populated` — 32 inserts into an
+//!   authenticated store that already holds ~4k objects referenced from
+//!   16 extents. Each insert binds its post-apply store root, which
+//!   rehashes only the extents whose cells hold the new OID — none
+//!   here — so it hashes nothing, but still pays a scan of every
+//!   extent cell for the OID: O(total cells) per insert.
 //!
 //! `AQUA_BENCH_QUICK` shrinks iterations for the CI gate;
 //! `AQUA_BENCH_JSON=<path>` dumps the rows for `bench_gate`.
 
 use std::path::PathBuf;
 
+use aqua_algebra::{NodeId, TreeBuilder};
 use aqua_bench::timing::{ms, time_median, Timed};
 use aqua_bench::Table;
+use aqua_object::{Oid, Value};
 use aqua_store::{DurableConfig, DurableStore};
 use aqua_workload::storm::{MutationStorm, BOOT_OPS};
 
@@ -143,11 +151,72 @@ fn bench_snapshot_open(out: &mut Out) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Authenticated inserts into a populated store: 4096 objects, each
+/// referenced once from one of 8 trees (256 nodes) or 8 lists (256
+/// cells), then batches of 32 fresh inserts timed through the full
+/// validate → bind root → log → apply path.
+fn bench_authenticated_insert(out: &mut Out) {
+    const EXTENTS: usize = 8;
+    const CELLS: usize = 256;
+    const BATCH: usize = 32;
+    let dir = scratch("auth-insert", 0);
+    let (mut ds, _) = DurableStore::open(
+        &dir,
+        DurableConfig {
+            authenticate: true,
+            ..cfg()
+        },
+    )
+    .expect("fresh open");
+    let class = ds
+        .define_class(MutationStorm::class_def())
+        .expect("define class");
+    let mut next_row = {
+        let mut i = 0i64;
+        move || {
+            i += 1;
+            vec![
+                Value::str(["C", "E", "G"][i as usize % 3]),
+                Value::Int(i % 8 + 1),
+            ]
+        }
+    };
+    for _ in 0..2 * EXTENTS * CELLS {
+        ds.insert(class, next_row()).expect("populate");
+    }
+    for e in 0..EXTENTS {
+        let base = (2 * e * CELLS) as u64;
+        let mut b = TreeBuilder::new();
+        let leaves: Vec<NodeId> = (1..CELLS as u64)
+            .map(|k| b.node(Oid(base + k), vec![]))
+            .collect();
+        let root = b.node(Oid(base), leaves);
+        let tree = b.finish(root).expect("flat tree");
+        ds.create_tree(&format!("t{e}"), tree).expect("tree");
+        let list = format!("l{e}");
+        ds.create_list(&list).expect("list");
+        for k in 0..CELLS as u64 {
+            ds.list_push(&list, Oid(base + CELLS as u64 + k))
+                .expect("push");
+        }
+    }
+    let t = time_median(out.iters, || {
+        for _ in 0..BATCH {
+            ds.insert(class, next_row()).expect("authenticated insert");
+        }
+        BATCH
+    });
+    out.row("authenticated_insert_populated", t);
+    drop(ds);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn main() {
     let mut out = Out::new();
     bench_append(&mut out);
     bench_replay(&mut out);
     bench_snapshot_open(&mut out);
+    bench_authenticated_insert(&mut out);
     out.table
         .print("B13 — durability: WAL append, replay, cold open");
     if let Ok(path) = std::env::var("AQUA_BENCH_JSON") {

@@ -294,6 +294,7 @@ mod tests {
 
     #[test]
     fn certificate_round_trips_through_text() {
+        let _lock = crate::test_lock::passing();
         let (store, class, tree) = fixture();
         let pieces = pieces_of(&store, class, &tree);
         let root = merkle::tree_root(&store, &tree);
@@ -319,6 +320,7 @@ mod tests {
 
     #[test]
     fn tamper_failpoint_flips_a_piece_hash() {
+        let _lock = crate::test_lock::arming();
         let (store, class, tree) = fixture();
         let pieces = pieces_of(&store, class, &tree);
         let root = merkle::tree_root(&store, &tree);
@@ -339,6 +341,7 @@ mod tests {
 
     #[test]
     fn malformed_text_is_rejected_typed() {
+        let _lock = crate::test_lock::passing();
         assert!(SplitCertificate::parse("nope").is_err());
         assert!(SplitCertificate::parse("AQUA-SPLIT-CERT v1\nextent: t\n").is_err());
         let (store, class, tree) = fixture();

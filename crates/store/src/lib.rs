@@ -68,3 +68,28 @@ pub use txn::{
     participant_probe, ShardTxn, TxnReceipt, TXN_DECIDE_CRASH, TXN_OUTCOME_CRASH, TXN_PREPARE_CRASH,
 };
 pub use wal::{list_segments, scan_segment, SegmentScan, Wal, WalConfig, WAL_APPEND_PROBE};
+
+/// Serialization for unit tests around the process-global failpoint
+/// registry: a failpoint one test arms fires in any sibling test that
+/// crosses the same boundary meanwhile, and may spend an `arm_times`
+/// budget there instead of in the arming test. Tests that arm a
+/// failpoint hold the lock exclusively ([`arming`](test_lock::arming));
+/// tests that only run through failpoint-checked paths share it
+/// ([`passing`](test_lock::passing)).
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static FAILPOINTS: RwLock<()> = RwLock::new(());
+
+    /// Held for the whole of a test that arms a failpoint.
+    pub(crate) fn arming() -> RwLockWriteGuard<'static, ()> {
+        FAILPOINTS.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Held for the whole of a test that crosses failpoint-checked
+    /// store paths without arming any.
+    pub(crate) fn passing() -> RwLockReadGuard<'static, ()> {
+        FAILPOINTS.read().unwrap_or_else(|e| e.into_inner())
+    }
+}

@@ -38,7 +38,7 @@ use std::fmt;
 
 use aqua_algebra::list::ListElem;
 use aqua_algebra::{List, Payload, Tree};
-use aqua_object::{ObjectStore, Oid, Value};
+use aqua_object::{ClassId, ObjectStore, Oid, Value};
 
 /// A 32-byte merkle root (SHA-256). The `Default` root (all zeros) is
 /// what an empty fold reports — no real SHA-256 output collides with it.
@@ -127,7 +127,7 @@ impl Sha256 {
         }
     }
 
-    fn compress(&mut self, block: &[u8]) {
+    fn compress(state: &mut [u32; 8], block: &[u8]) {
         let mut w = [0u32; 64];
         for (i, c) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
@@ -140,7 +140,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -161,7 +161,7 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
@@ -176,14 +176,13 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.h, &self.buf);
                 self.buf_len = 0;
             }
         }
         while rest.len() >= 64 {
             let (block, tail) = rest.split_at(64);
-            self.compress(block);
+            Self::compress(&mut self.h, block);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -192,18 +191,21 @@ impl Sha256 {
         }
     }
 
-    /// Finish and return the digest.
+    /// Finish and return the digest. Padding is written into the block
+    /// buffer directly: the `0x80` marker and zero fill, one extra block
+    /// when the 8-byte length no longer fits, then the big-endian bit
+    /// length.
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            Self::compress(&mut self.h, &self.buf);
+            self.buf = [0; 64];
         }
-        self.total = 0; // padding bytes must not disturb the length field
-        let mut tail = [0u8; 64];
-        tail[..56].copy_from_slice(&self.buf[..56]);
-        tail[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&tail);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.h, &self.buf);
         let mut out = [0u8; 32];
         for (i, v) in self.h.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&v.to_be_bytes());
@@ -223,11 +225,42 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 // Leaf schema
 // ---------------------------------------------------------------------
 
-/// An attribute override for predictive hashing: "hash as if `oid`'s
-/// attribute `attr` held `value`". The durable write path uses this to
-/// compute the *post-apply* root of an `Update` before the record is
-/// logged, preserving log-before-apply ordering.
-pub type AttrOverride<'a> = Option<(Oid, usize, &'a Value)>;
+/// A payload override for predictive hashing: hash as if one pending
+/// write had already been applied. The durable write path uses this to
+/// compute the *post-apply* root of an `Insert` or `Update` before the
+/// record is logged, preserving log-before-apply ordering, without
+/// cloning the store.
+#[derive(Debug, Clone, Copy)]
+pub enum Override<'a> {
+    /// Attribute `attr` of `oid` reads `value`.
+    Attr {
+        /// The updated object.
+        oid: Oid,
+        /// Positional attribute id.
+        attr: usize,
+        /// The value it will hold.
+        value: &'a Value,
+    },
+    /// `oid` is a not-yet-inserted object of `class` with `row` (an
+    /// insert can resolve a dangling reference an extent already holds).
+    Insert {
+        /// The OID the insert will be assigned.
+        oid: Oid,
+        /// The new object's class.
+        class: ClassId,
+        /// Its attribute row.
+        row: &'a [Value],
+    },
+}
+
+impl Override<'_> {
+    /// The OID whose cells hash differently under this override.
+    pub fn oid(&self) -> Oid {
+        match self {
+            Override::Attr { oid, .. } | Override::Insert { oid, .. } => *oid,
+        }
+    }
+}
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
@@ -256,26 +289,31 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-pub(crate) fn put_cell(out: &mut Vec<u8>, store: &ObjectStore, oid: Oid, ov: AttrOverride<'_>) {
+pub(crate) fn put_cell(out: &mut Vec<u8>, store: &ObjectStore, oid: Oid, ov: Option<Override<'_>>) {
     out.push(0x01);
     out.extend_from_slice(&oid.0.to_le_bytes());
-    match store.get(oid) {
-        Ok(obj) => {
-            out.extend_from_slice(&obj.class().0.to_le_bytes());
-            out.extend_from_slice(&(obj.values().len() as u32).to_le_bytes());
-            for (i, v) in obj.values().iter().enumerate() {
-                match ov {
-                    Some((o, a, nv)) if o == oid && a == i => put_value(out, nv),
-                    _ => put_value(out, v),
-                }
-            }
-        }
+    let (class, values) = match (ov, store.get(oid)) {
+        (Some(Override::Insert { oid: o, class, row }), _) if o == oid => (class, row),
+        (_, Ok(obj)) => (obj.class(), obj.values()),
         // A dangling OID still hashes deterministically: class u32::MAX,
         // zero attributes. (Extents may legitimately reference OIDs the
         // caller constructed out of band, e.g. `Oid(0)` placeholders.)
-        Err(_) => {
+        (_, Err(_)) => {
             out.extend_from_slice(&u32::MAX.to_le_bytes());
             out.extend_from_slice(&0u32.to_le_bytes());
+            return;
+        }
+    };
+    out.extend_from_slice(&class.0.to_le_bytes());
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for (i, v) in values.iter().enumerate() {
+        match ov {
+            Some(Override::Attr {
+                oid: o,
+                attr,
+                value,
+            }) if o == oid && attr == i => put_value(out, value),
+            _ => put_value(out, v),
         }
     }
 }
@@ -289,7 +327,7 @@ pub(crate) fn put_hole(out: &mut Vec<u8>, label: &str) {
 /// The leaf-hash column of a tree extent: one hash per node in preorder,
 /// each covering the node's `(pre, post)` interval numbers and its
 /// payload (OID + class + attribute values, or hole label).
-pub fn tree_leaves(store: &ObjectStore, tree: &Tree, ov: AttrOverride<'_>) -> Vec<Root> {
+pub fn tree_leaves(store: &ObjectStore, tree: &Tree, ov: Option<Override<'_>>) -> Vec<Root> {
     // Stream the tree's cached columnar view: the preorder sequence and
     // the pre/post interval columns come straight out of `Tree::cols`
     // (the same single-clock numbering as `interval_numbering`, so leaf
@@ -315,7 +353,7 @@ pub fn tree_leaves(store: &ObjectStore, tree: &Tree, ov: AttrOverride<'_>) -> Ve
 }
 
 /// The leaf-hash column of a list extent: one hash per position.
-pub fn list_leaves(store: &ObjectStore, list: &List, ov: AttrOverride<'_>) -> Vec<Root> {
+pub fn list_leaves(store: &ObjectStore, list: &List, ov: Option<Override<'_>>) -> Vec<Root> {
     let mut leaves = Vec::with_capacity(list.len());
     for (pos, elem) in list.elems().iter().enumerate() {
         let mut bytes = Vec::with_capacity(32);
@@ -449,6 +487,54 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+        // Padding boundaries: 55 bytes is the longest message whose
+        // length field fits its last block, 56 and 63 force an extra
+        // padding block, 64/119/120 repeat the cases one block later.
+        // Digests of `n` repeated `a` bytes, from an independent
+        // SHA-256 implementation.
+        for (n, digest) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(sha256(&vec![b'a'; n])), digest, "{n}-byte message");
+        }
+    }
+
+    /// Streaming must equal one-shot wherever the message is split,
+    /// including splits that leave the padding marker or the length
+    /// field straddling a block boundary.
+    #[test]
+    fn sha256_streaming_equals_one_shot_at_every_split() {
+        let msg: Vec<u8> = (0..130u32).map(|i| (i * 7 + 3) as u8).collect();
+        let whole = sha256(&msg);
+        for k in 0..=msg.len() {
+            let mut st = Sha256::new();
+            st.update(&msg[..k]);
+            st.update(&msg[k..]);
+            assert_eq!(st.finish(), whole, "split at {k}");
+        }
     }
 
     fn fixture() -> (ObjectStore, Tree, List) {
@@ -513,7 +599,11 @@ mod tests {
         let predicted = merkle_root(&tree_leaves(
             &store,
             &tree,
-            Some((aqua_object::Oid(1), 1, &v)),
+            Some(Override::Attr {
+                oid: aqua_object::Oid(1),
+                attr: 1,
+                value: &v,
+            }),
         ));
         store
             .update(aqua_object::Oid(1), aqua_object::AttrId(1), v.clone())
@@ -522,11 +612,36 @@ mod tests {
     }
 
     #[test]
+    fn insert_override_predicts_a_resolved_dangling_cell() {
+        let (mut store, tree, _) = fixture();
+        // The next insert gets OID 3; a list already holds it dangling.
+        let list = List::from_oids(vec![aqua_object::Oid(0), aqua_object::Oid(3)]);
+        let class = store.class_id("Note").unwrap();
+        let row = vec![Value::str("C"), Value::Int(1)];
+        let ov = Override::Insert {
+            oid: aqua_object::Oid(3),
+            class,
+            row: &row,
+        };
+        let predicted = merkle_root(&list_leaves(&store, &list, Some(ov)));
+        assert_ne!(predicted, list_root(&store, &list), "the cell resolves");
+        let untouched = merkle_root(&tree_leaves(&store, &tree, Some(ov)));
+        assert_eq!(untouched, tree_root(&store, &tree));
+        assert_eq!(store.insert(class, row).unwrap(), aqua_object::Oid(3));
+        assert_eq!(predicted, list_root(&store, &list));
+    }
+
+    #[test]
     fn divergence_localizes_to_the_changed_row() {
         let (store, tree, _) = fixture();
         let a = tree_leaves(&store, &tree, None);
         let v = Value::str("B");
-        let b = tree_leaves(&store, &tree, Some((aqua_object::Oid(2), 0, &v)));
+        let ov = Override::Attr {
+            oid: aqua_object::Oid(2),
+            attr: 0,
+            value: &v,
+        };
+        let b = tree_leaves(&store, &tree, Some(ov));
         // Oid(2) sits at preorder rank 2 in the fixture tree.
         assert_eq!(first_divergence(&a, &b), Some(2));
         assert_eq!(first_divergence(&a, &a), None);

@@ -681,6 +681,7 @@ mod tests {
 
     #[test]
     fn grow_preserves_values_and_bumps_epoch() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("grow");
         let cfg = ShardedConfig::with_shards(1);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -720,6 +721,7 @@ mod tests {
 
     #[test]
     fn shrink_preserves_values_and_removes_drained_dirs() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("shrink");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let names = populate(&mut ss, 8);
@@ -750,6 +752,7 @@ mod tests {
 
     #[test]
     fn rebalance_is_a_noop_at_the_current_count_and_refuses_zero() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("noop");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(2)).unwrap();
         let names = populate(&mut ss, 4);
@@ -764,6 +767,7 @@ mod tests {
 
     #[test]
     fn gate_refusal_is_transient_and_resumable_in_process() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("gate");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(1)).unwrap();
         let names = populate(&mut ss, 8);
@@ -804,6 +808,7 @@ mod tests {
 
     #[test]
     fn rotation_between_a_moves_prepare_and_outcome_replays_clean() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("rotate");
         let cfg = ShardedConfig {
             shards: 1,
@@ -869,6 +874,7 @@ mod tests {
 
     #[test]
     fn ref_valued_attributes_are_remapped_with_their_objects() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("refs");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(1)).unwrap();
         let class = ss

@@ -209,37 +209,19 @@ impl RebuiltIndexes {
                     ix.attr.push((*class, *attr, idx));
                 }
                 IndexSpec::TreeNode { tree, class, attr } => {
-                    let t = state
-                        .trees
-                        .get(tree)
-                        .ok_or_else(|| StoreError::NoSuchExtent {
-                            kind: "tree",
-                            name: tree.clone(),
-                        })?;
+                    let t = get_tree(state, tree)?;
                     let idx =
                         TreeNodeIndex::try_build(&state.store, t, *class, *attr)?.with_epoch(epoch);
                     ix.tree.push((tree.clone(), idx));
                 }
                 IndexSpec::ListPos { list, class, attr } => {
-                    let l = state
-                        .lists
-                        .get(list)
-                        .ok_or_else(|| StoreError::NoSuchExtent {
-                            kind: "list",
-                            name: list.clone(),
-                        })?;
+                    let l = get_list(state, list)?;
                     let idx =
                         ListPosIndex::try_build(&state.store, l, *class, *attr)?.with_epoch(epoch);
                     ix.list.push((list.clone(), idx));
                 }
                 IndexSpec::Structural { tree } => {
-                    let t = state
-                        .trees
-                        .get(tree)
-                        .ok_or_else(|| StoreError::NoSuchExtent {
-                            kind: "tree",
-                            name: tree.clone(),
-                        })?;
+                    let t = get_tree(state, tree)?;
                     ix.structural.push((
                         tree.clone(),
                         StructuralIndex::build(t)
@@ -408,6 +390,16 @@ fn get_tree<'s>(state: &'s SnapshotState, name: &str) -> Result<&'s Tree> {
         })
 }
 
+fn get_list<'s>(state: &'s SnapshotState, name: &str) -> Result<&'s List> {
+    state
+        .lists
+        .get(name)
+        .ok_or_else(|| StoreError::NoSuchExtent {
+            kind: "list",
+            name: name.to_owned(),
+        })
+}
+
 fn get_list_mut<'s>(state: &'s mut SnapshotState, name: &str) -> Result<&'s mut List> {
     state
         .lists
@@ -482,21 +474,10 @@ fn check(state: &SnapshotState, rec: &WalRecord) -> Result<()> {
             check_node(get_tree(state, name)?, *at)?;
         }
         WalRecord::ListPush { name, .. } | WalRecord::ListPushHole { name, .. } => {
-            if !state.lists.contains_key(name) {
-                return Err(StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                });
-            }
+            get_list(state, name)?;
         }
         WalRecord::ListRemove { name, index } => {
-            let l = state
-                .lists
-                .get(name)
-                .ok_or_else(|| StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                })?;
+            let l = get_list(state, name)?;
             if *index as usize >= l.len() {
                 return Err(StoreError::OutOfBounds {
                     what: "list position",
@@ -512,12 +493,7 @@ fn check(state: &SnapshotState, rec: &WalRecord) -> Result<()> {
             get_tree(state, name)?;
         }
         WalRecord::ListDrop { name } => {
-            if !state.lists.contains_key(name) {
-                return Err(StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                });
-            }
+            get_list(state, name)?;
         }
         WalRecord::TxnPrepare { .. } | WalRecord::TxnCommit { .. } | WalRecord::TxnAbort { .. } => {
             return Err(txn_record_misrouted())
@@ -552,12 +528,7 @@ fn check_spec(state: &SnapshotState, spec: &IndexSpec) -> Result<()> {
             check_class_attr(class, attr)
         }
         IndexSpec::ListPos { list, class, attr } => {
-            if !state.lists.contains_key(list) {
-                return Err(StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: list.clone(),
-                });
-            }
+            get_list(state, list)?;
             check_class_attr(class, attr)
         }
         IndexSpec::Structural { tree } => get_tree(state, tree).map(|_| ()),
@@ -591,41 +562,61 @@ fn record_extent_label(rec: &WalRecord) -> String {
     }
 }
 
+/// Replay's check before [`advance_roots`]. The live and prepare paths
+/// [`check`] every record first; replay does not, and would otherwise
+/// hash a malformed `Insert` row into the roots and report a root
+/// mismatch instead of the typed refusal the live path gives.
+fn check_insert(state: &SnapshotState, rec: &WalRecord) -> Result<()> {
+    match rec {
+        WalRecord::Insert { .. } => check(state, rec),
+        _ => Ok(()),
+    }
+}
+
 /// Advance `roots` to what applying `rec` to `state` will make them —
 /// *without* mutating `state`. This is what lets the write path bind the
 /// post-apply store root into a frame while preserving the
-/// validate → log → apply ordering: tree mutations are functional,
-/// lists are cloned, attribute updates hash through an
-/// [`merkle::AttrOverride`], and an `Insert` rehashes through a store
-/// clone (a freshly inserted OID may resolve a dangling reference some
-/// extent already holds). Replay uses the *same* function, so writer and
-/// recoverer compute identical roots from identical history.
+/// validate → log → apply ordering. Each record rehashes only the
+/// extents it can change: a tree or list op the one extent it names
+/// (tree mutations are functional, lists are cloned), and an `Insert` or
+/// `Update` only the extents whose cells hold the affected OID, hashed
+/// through a [`merkle::Override`] — nothing at all when none do. Replay
+/// uses the *same* function, so writer and recoverer compute identical
+/// roots from identical history.
 fn advance_roots(state: &SnapshotState, roots: &RootCache, rec: &WalRecord) -> Result<RootCache> {
     let mut out = roots.clone();
-    let rehash_all = |out: &mut RootCache, store: &ObjectStore, ov: merkle::AttrOverride<'_>| {
+    let mut rehash_holders = |ov: merkle::Override<'_>| {
+        let oid = Some(ov.oid());
         for (name, t) in &state.trees {
-            out.insert(
-                (KIND_TREE, name.clone()),
-                merkle::merkle_root(&merkle::tree_leaves(store, t, ov)),
-            );
+            // Scan the node arena, not `cols()`: no column build here.
+            if (0..t.len()).any(|i| t.oid(NodeId(i as u32)) == oid) {
+                let leaves = merkle::tree_leaves(&state.store, t, Some(ov));
+                out.insert((KIND_TREE, name.clone()), merkle::merkle_root(&leaves));
+            }
         }
         for (name, l) in &state.lists {
-            out.insert(
-                (KIND_LIST, name.clone()),
-                merkle::merkle_root(&merkle::list_leaves(store, l, ov)),
-            );
+            if l.elems().iter().any(|e| e.oid() == oid) {
+                let leaves = merkle::list_leaves(&state.store, l, Some(ov));
+                out.insert((KIND_LIST, name.clone()), merkle::merkle_root(&leaves));
+            }
         }
     };
     match rec {
         WalRecord::DefineClass { .. } | WalRecord::RegisterIndex { .. } => {}
         WalRecord::Insert { class, row } => {
-            // The new OID may already appear (dangling) in an extent.
-            let mut store = state.store.clone();
-            store.insert(*class, row.clone())?;
-            rehash_all(&mut out, &store, None);
+            let oid = Oid(state.store.len() as u64);
+            rehash_holders(merkle::Override::Insert {
+                oid,
+                class: *class,
+                row,
+            });
         }
         WalRecord::Update { oid, attr, value } => {
-            rehash_all(&mut out, &state.store, Some((*oid, attr.index(), value)));
+            rehash_holders(merkle::Override::Attr {
+                oid: *oid,
+                attr: attr.index(),
+                value,
+            });
         }
         WalRecord::TreeCreate { name, tree } => {
             out.insert(
@@ -664,14 +655,7 @@ fn advance_roots(state: &SnapshotState, roots: &RootCache, rec: &WalRecord) -> R
             out.insert((KIND_LIST, name.clone()), merkle::empty_root());
         }
         WalRecord::ListPush { name, oid } => {
-            let mut l = state
-                .lists
-                .get(name)
-                .ok_or_else(|| StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                })?
-                .clone();
+            let mut l = get_list(state, name)?.clone();
             l.push(*oid);
             out.insert(
                 (KIND_LIST, name.clone()),
@@ -679,14 +663,7 @@ fn advance_roots(state: &SnapshotState, roots: &RootCache, rec: &WalRecord) -> R
             );
         }
         WalRecord::ListPushHole { name, label } => {
-            let mut l = state
-                .lists
-                .get(name)
-                .ok_or_else(|| StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                })?
-                .clone();
+            let mut l = get_list(state, name)?.clone();
             l.push_hole(label.as_str());
             out.insert(
                 (KIND_LIST, name.clone()),
@@ -694,14 +671,7 @@ fn advance_roots(state: &SnapshotState, roots: &RootCache, rec: &WalRecord) -> R
             );
         }
         WalRecord::ListRemove { name, index } => {
-            let mut l = state
-                .lists
-                .get(name)
-                .ok_or_else(|| StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                })?
-                .clone();
+            let mut l = get_list(state, name)?.clone();
             let _ = l.remove(*index as usize);
             out.insert(
                 (KIND_LIST, name.clone()),
@@ -713,12 +683,7 @@ fn advance_roots(state: &SnapshotState, roots: &RootCache, rec: &WalRecord) -> R
             out.remove(&(KIND_TREE, name.clone()));
         }
         WalRecord::ListDrop { name } => {
-            if !state.lists.contains_key(name) {
-                return Err(StoreError::NoSuchExtent {
-                    kind: "list",
-                    name: name.clone(),
-                });
-            }
+            get_list(state, name)?;
             out.remove(&(KIND_LIST, name.clone()));
         }
         WalRecord::TxnPrepare { .. } | WalRecord::TxnCommit { .. } | WalRecord::TxnAbort { .. } => {
@@ -823,10 +788,12 @@ fn replay_txn_frame(
             })?;
             for r in &p.records {
                 if cfg.authenticate {
-                    *roots = advance_roots(state, roots, r).map_err(|e| StoreError::Replay {
-                        lsn,
-                        msg: format!("txn {txn_id} root recompute failed: {e}"),
-                    })?;
+                    *roots = check_insert(state, r)
+                        .and_then(|()| advance_roots(state, roots, r))
+                        .map_err(|e| StoreError::Replay {
+                            lsn,
+                            msg: format!("txn {txn_id} root recompute failed: {e}"),
+                        })?;
                 }
                 apply(state, r).map_err(|e| StoreError::Replay {
                     lsn,
@@ -990,10 +957,12 @@ impl DurableStore {
                     // in the recovered history — a tampered record, a
                     // tampered snapshot, a tampered claim — breaks the
                     // equality.
-                    roots = advance_roots(&state, &roots, rec).map_err(|e| StoreError::Replay {
-                        lsn: *lsn,
-                        msg: format!("root recompute failed: {e}"),
-                    })?;
+                    roots = check_insert(&state, rec)
+                        .and_then(|()| advance_roots(&state, &roots, rec))
+                        .map_err(|e| StoreError::Replay {
+                            lsn: *lsn,
+                            msg: format!("root recompute failed: {e}"),
+                        })?;
                     if let Some(claimed) = claimed {
                         let recomputed = fold_store_root(&roots);
                         if recomputed != *claimed {
@@ -1602,6 +1571,7 @@ mod tests {
 
     #[test]
     fn reopen_reproduces_state_without_snapshot() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("replay");
         let (mut ds, rep) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         assert_eq!(rep.next_lsn, 1);
@@ -1628,6 +1598,7 @@ mod tests {
 
     #[test]
     fn checkpoint_then_tail_replay() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("ckpt");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -1648,6 +1619,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_reported() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("torn");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -1677,6 +1649,7 @@ mod tests {
 
     #[test]
     fn indices_rebuilt_fresh_at_recovered_epoch() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("idx");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -1714,6 +1687,7 @@ mod tests {
 
     #[test]
     fn invalid_mutations_never_reach_the_wal() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("reject");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, oids) = populate(&mut ds);
@@ -1757,6 +1731,7 @@ mod tests {
 
     #[test]
     fn auto_checkpoint_and_prune_keep_recovery_working() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("auto");
         let cfg = DurableConfig {
             segment_bytes: 256, // force rotations
@@ -1792,6 +1767,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_is_skipped_for_an_older_one() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("skipsnap");
         let (mut ds, _) = DurableStore::open(
             &dir,
@@ -1826,6 +1802,7 @@ mod tests {
 
     #[test]
     fn lsn_gap_is_a_typed_replay_error() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("gap");
         let cfg = DurableConfig {
             segment_bytes: 128,
@@ -1849,6 +1826,7 @@ mod tests {
 
     #[test]
     fn recover_probe_and_metrics_stamping() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("probe");
         {
             let _fp = failpoint::scoped(RECOVER_PROBE, "recovery blocked");
@@ -1879,6 +1857,7 @@ mod tests {
     /// mutation, including those after the failed checkpoint.
     #[test]
     fn failed_checkpoint_loses_nothing() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("ckpt-fault");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, oids) = populate(&mut ds);
@@ -1921,6 +1900,7 @@ mod tests {
     /// frame.
     #[test]
     fn tampered_frame_with_fixed_crc_fails_integrity() {
+        let _lock = crate::test_lock::passing();
         use crate::codec::crc32;
         use crate::wal::FRAME_HEADER;
 
@@ -1968,6 +1948,7 @@ mod tests {
     /// reopen must refuse it.
     #[test]
     fn corrupt_root_failpoint_is_caught_on_reopen() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("badroot");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -1991,6 +1972,7 @@ mod tests {
     /// per-frame) and still recomputes + reports every extent root.
     #[test]
     fn unauthenticated_log_replays_clean_under_authenticated_open() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("unauth");
         let plain = DurableConfig {
             authenticate: false,
@@ -2017,6 +1999,7 @@ mod tests {
     /// root claim of every frame on both sides of the boundary.
     #[test]
     fn recovery_spans_a_rotation_point() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("rotspan");
         let cfg = DurableConfig {
             segment_bytes: 256,
@@ -2048,6 +2031,7 @@ mod tests {
     /// detected, truncated, and durable.
     #[test]
     fn bit_flip_in_first_frame_of_fresh_segment() {
+        let _lock = crate::test_lock::passing();
         use crate::wal::FRAME_HEADER;
 
         let dir = temp_dir("flip0");
@@ -2102,6 +2086,7 @@ mod tests {
 
     #[test]
     fn txn_prepare_buffers_without_applying_then_commit_applies() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("txn-commit");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -2150,6 +2135,7 @@ mod tests {
 
     #[test]
     fn orphaned_prepare_survives_reopen_and_aborts_cleanly() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("txn-orphan");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);
@@ -2184,6 +2170,7 @@ mod tests {
 
     #[test]
     fn rotation_between_prepare_and_outcome_replays_clean() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("txn-rotate");
         let cfg = DurableConfig {
             segment_bytes: 256, // tiny: the prepare frame alone overflows
@@ -2221,6 +2208,7 @@ mod tests {
 
     #[test]
     fn torn_outcome_frame_leaves_the_prepare_pending() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("txn-torn");
         let (mut ds, _) = DurableStore::open(&dir, DurableConfig::default()).unwrap();
         let (c, _) = populate(&mut ds);

@@ -1504,6 +1504,7 @@ mod tests {
 
     #[test]
     fn all_extents_on_one_shard_still_works() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("onehot");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, rep) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1542,6 +1543,7 @@ mod tests {
 
     #[test]
     fn routing_is_stable_across_recovery() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("stable");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1574,6 +1576,7 @@ mod tests {
 
     #[test]
     fn shard_count_change_is_refused() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("pin");
         let (_ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let err = ShardedStore::open(&dir, ShardedConfig::with_shards(2)).unwrap_err();
@@ -1593,6 +1596,7 @@ mod tests {
 
     #[test]
     fn parallel_recovery_matches_serial_recovery() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("par");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1658,6 +1662,7 @@ mod tests {
 
     #[test]
     fn single_shard_txn_takes_the_fast_path() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("fastpath");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let class = ss.define_class(note_class()).unwrap();
@@ -1678,6 +1683,7 @@ mod tests {
 
     #[test]
     fn cross_shard_commit_applies_atomically_and_survives_reopen() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("2pc");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1711,6 +1717,7 @@ mod tests {
 
     #[test]
     fn txn_ids_advance_and_never_reuse_across_reopen() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("ids");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1742,6 +1749,7 @@ mod tests {
 
     #[test]
     fn gate_refusal_mid_prepare_aborts_cleanly_and_retries() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("gate");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let class = ss.define_class(note_class()).unwrap();
@@ -1782,6 +1790,7 @@ mod tests {
 
     #[test]
     fn prepare_crash_is_presumed_abort_on_reopen() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("presume");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1815,6 +1824,7 @@ mod tests {
 
     #[test]
     fn outcome_crash_is_rolled_forward_on_reopen() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("forward");
         let cfg = ShardedConfig::with_shards(4);
         let (mut ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();
@@ -1847,6 +1857,7 @@ mod tests {
 
     #[test]
     fn meta_missing_with_coordinator_log_refuses_to_open() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("metagone");
         let cfg = ShardedConfig::with_shards(4);
         drop(ShardedStore::open(&dir, cfg.clone()).unwrap());
@@ -1863,6 +1874,7 @@ mod tests {
 
     #[test]
     fn route_and_fold_probes_inject_typed_faults() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("probes");
         let cfg = ShardedConfig::with_shards(2);
         {
@@ -1883,6 +1895,7 @@ mod tests {
 
     #[test]
     fn txn_metrics_stamp_and_count() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("txnmetrics");
         let (mut ss, rep) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let m = Metrics::new();
@@ -1937,6 +1950,7 @@ mod tests {
 
     #[test]
     fn torn_or_flipped_meta_is_refused_typed() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("metacorrupt");
         let (_ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(2)).unwrap();
         let path = dir.join(SHARD_META);
@@ -1974,6 +1988,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_pin_is_refused_typed() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("stalepin");
         let cfg = ShardedConfig::with_shards(1);
         let (ss, _) = ShardedStore::open(&dir, cfg.clone()).unwrap();

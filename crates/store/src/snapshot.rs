@@ -489,6 +489,7 @@ mod tests {
 
     #[test]
     fn round_trip_reproduces_everything() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("rt");
         let state = sample_state();
         let path = write_snapshot(&dir, &state).unwrap();
@@ -553,6 +554,7 @@ mod tests {
 
     #[test]
     fn corrupt_root_failpoint_writes_a_detectably_bad_snapshot() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("corrupt-root");
         let state = sample_state();
         let path = {
@@ -572,6 +574,7 @@ mod tests {
 
     #[test]
     fn every_corruption_is_detected() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("corrupt");
         let path = write_snapshot(&dir, &sample_state()).unwrap();
         let full = std::fs::read(&path).unwrap();
@@ -598,6 +601,7 @@ mod tests {
 
     #[test]
     fn armed_failpoint_leaves_no_partial_file() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("fp");
         let _fp = failpoint::scoped(SNAPSHOT_WRITE_PROBE, "power cut");
         let err = write_snapshot(&dir, &sample_state()).unwrap_err();

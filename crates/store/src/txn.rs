@@ -276,6 +276,7 @@ mod tests {
 
     #[test]
     fn buffers_route_like_the_store_and_predict_oids() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("route");
         let (mut ss, _) = ShardedStore::open(&dir, ShardedConfig::with_shards(4)).unwrap();
         let class = ss

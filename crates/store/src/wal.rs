@@ -311,6 +311,7 @@ mod tests {
 
     #[test]
     fn append_scan_round_trip() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("rt");
         let mut wal = Wal::open(&dir, 1, WalConfig::default()).unwrap();
         for i in 0..5 {
@@ -329,6 +330,7 @@ mod tests {
 
     #[test]
     fn segments_rotate_and_sort() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("rot");
         let mut wal = Wal::open(&dir, 1, WalConfig { segment_bytes: 64 }).unwrap();
         for i in 0..20 {
@@ -354,6 +356,7 @@ mod tests {
 
     #[test]
     fn torn_tail_yields_valid_prefix() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("torn");
         let mut wal = Wal::open(&dir, 1, WalConfig::default()).unwrap();
         for i in 0..4 {
@@ -377,6 +380,7 @@ mod tests {
 
     #[test]
     fn bit_flip_detected_by_checksum() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("flip");
         let mut wal = Wal::open(&dir, 1, WalConfig::default()).unwrap();
         for i in 0..3 {
@@ -402,6 +406,7 @@ mod tests {
 
     #[test]
     fn root_bound_frames_round_trip() {
+        let _lock = crate::test_lock::passing();
         let dir = temp_dir("root");
         let mut wal = Wal::open(&dir, 1, WalConfig::default()).unwrap();
         let r0 = Root(crate::merkle::sha256(b"state-0"));
@@ -424,6 +429,7 @@ mod tests {
     /// next frame opens the new one, and nothing is torn.
     #[test]
     fn record_landing_exactly_at_segment_cap_rotates_cleanly() {
+        let _lock = crate::test_lock::passing();
         // Measure one frame, then set the cap to a whole number of them.
         let probe_dir = temp_dir("cap-probe");
         let mut wal = Wal::open(&probe_dir, 1, WalConfig::default()).unwrap();
@@ -461,6 +467,7 @@ mod tests {
 
     #[test]
     fn armed_failpoint_fails_append_typed() {
+        let _lock = crate::test_lock::arming();
         let dir = temp_dir("fp");
         let mut wal = Wal::open(&dir, 1, WalConfig::default()).unwrap();
         let _fp = failpoint::scoped(WAL_APPEND_PROBE, "disk full");
